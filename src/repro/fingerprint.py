@@ -135,8 +135,8 @@ CONFIG_KEY_FIELDS = (
 )
 """The configuration fields that shape *what a discovery returns*.
 
-Execution knobs (executor, workers, product kernel, stores, caches,
-observability attachments) are deliberately excluded: two requests
+Execution knobs (executor, workers, stores, caches, observability
+attachments) are deliberately excluded: two requests
 differing only there produce identical dependencies, keys, and errors,
 so a result cache must serve them the same entry.
 

@@ -104,7 +104,7 @@ from repro.parallel.shm import AdoptedBlock, SharedPartitionBlock
 from repro.parallel.validity import ValidityCriteria, ValidityOutcome
 from repro.parallel.shm import BlockEntry
 from repro.parallel.worker import ChunkReceipt, ProductChunk, ValidityChunk, init_worker, run_chunk
-from repro.search.execution import PRODUCT_KERNELS, SerialExecution, serial_validity as _serial_validity
+from repro.search.execution import SerialExecution, serial_validity as _serial_validity
 from repro.partition.vectorized import CsrPartition, PartitionWorkspace
 
 __all__ = [
@@ -215,10 +215,6 @@ class ProcessLevelExecutor(LevelExecutor):
     autotune_chunks:
         Size shards from the measured per-task cost (see module docs).
         ``False`` always uses ``workers * chunks_per_worker`` shards.
-    product_kernel:
-        ``"batched"`` (workers run
-        :func:`repro.partition.vectorized.batched_products` per chunk)
-        or ``"triple"`` (per-product loop); byte-identical results.
     target_chunk_seconds:
         Autotune's desired busy time per chunk.
     """
@@ -235,7 +231,6 @@ class ProcessLevelExecutor(LevelExecutor):
         retry_backoff_seconds: float = 0.05,
         delta_shipping: bool = True,
         autotune_chunks: bool = True,
-        product_kernel: str = "batched",
         target_chunk_seconds: float = 0.05,
     ) -> None:
         resolved = workers if workers else os.cpu_count() or 1
@@ -251,11 +246,6 @@ class ProcessLevelExecutor(LevelExecutor):
             raise ConfigurationError(
                 f"retry_backoff_seconds must be >= 0, got {retry_backoff_seconds}"
             )
-        if product_kernel not in PRODUCT_KERNELS:
-            raise ConfigurationError(
-                f"unknown product_kernel {product_kernel!r}; "
-                f"valid choices: {', '.join(repr(k) for k in PRODUCT_KERNELS)}"
-            )
         if target_chunk_seconds <= 0:
             raise ConfigurationError(
                 f"target_chunk_seconds must be > 0, got {target_chunk_seconds}"
@@ -267,7 +257,6 @@ class ProcessLevelExecutor(LevelExecutor):
         self._retry_backoff_seconds = retry_backoff_seconds
         self._delta_shipping = delta_shipping
         self._autotune = autotune_chunks
-        self._product_kernel = product_kernel
         self._target_chunk_seconds = target_chunk_seconds
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -676,7 +665,6 @@ class ProcessLevelExecutor(LevelExecutor):
                     ),
                     num_rows=num_rows,
                     triples=tuple(shard),
-                    kernel=self._product_kernel,
                     # Result blocks need the resident lifecycle: with
                     # delta shipping off, every block dies at phase end
                     # while the yielded partitions must outlive it.
@@ -726,25 +714,23 @@ class ProcessLevelExecutor(LevelExecutor):
 def make_executor(
     executor: str | LevelExecutor,
     workers: int,
-    product_kernel: str = "batched",
 ) -> LevelExecutor:
     """Resolve the ``TaneConfig.executor`` / ``workers`` pair.
 
     ``"serial"`` always runs inline; ``"process"`` always uses a pool
     (of ``workers`` or all cores); ``"auto"`` picks the pool exactly
     when ``workers > 1``.  A ready :class:`LevelExecutor` instance is
-    passed through (the caller owns its lifecycle — including its own
-    kernel setting)."""
+    passed through (the caller owns its lifecycle)."""
     if isinstance(executor, LevelExecutor):
         return executor
     if executor == "serial":
-        return SerialLevelExecutor(product_kernel=product_kernel)
+        return SerialLevelExecutor()
     if executor == "process":
-        return ProcessLevelExecutor(workers or None, product_kernel=product_kernel)
+        return ProcessLevelExecutor(workers or None)
     if executor == "auto":
         if workers > 1:
-            return ProcessLevelExecutor(workers, product_kernel=product_kernel)
-        return SerialLevelExecutor(product_kernel=product_kernel)
+            return ProcessLevelExecutor(workers)
+        return SerialLevelExecutor()
     raise ConfigurationError(
         f"unknown executor {executor!r}; use 'auto', 'serial' or 'process'"
     )

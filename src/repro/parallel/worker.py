@@ -66,10 +66,6 @@ class ProductChunk:
     triples: tuple[tuple[int, int, int], ...]
     """``(candidate, factor_x, factor_y)`` as produced by
     :func:`repro.core.lattice.generate_next_level`."""
-    kernel: str = "triple"
-    """``"batched"`` runs the whole shard through
-    :func:`repro.partition.vectorized.batched_products`; ``"triple"``
-    is the per-product loop.  Byte-identical payloads either way."""
     result_block: bool = False
     """When true (the executor sets it under delta shipping), large
     results return through a worker-created shared-memory block that
@@ -126,21 +122,16 @@ def _run_products(
     chunk: ProductChunk,
 ) -> tuple[list, tuple[str, dict[int, BlockEntry], int] | None]:
     workspace = _workspace(chunk.num_rows)
-    products: list[tuple[int, object]] = []
-    if chunk.kernel == "batched":
-        pairs = [
-            (_resolve(chunk.directory, x), _resolve(chunk.directory, y))
-            for _candidate, x, y in chunk.triples
-        ]
+    pairs = [
+        (_resolve(chunk.directory, x), _resolve(chunk.directory, y))
+        for _candidate, x, y in chunk.triples
+    ]
+    products = [
+        (candidate, product)
         for (candidate, _x, _y), product in zip(
             chunk.triples, batched_products(pairs, workspace)
-        ):
-            products.append((candidate, product))
-    else:
-        for candidate, factor_x, factor_y in chunk.triples:
-            pi_x = _resolve(chunk.directory, factor_x)
-            pi_y = _resolve(chunk.directory, factor_y)
-            products.append((candidate, pi_x.product(pi_y, workspace)))
+        )
+    ]
     if chunk.result_block:
         total_bytes = 8 * sum(
             product.stripped_size + product.num_classes + 1

@@ -14,19 +14,22 @@ of vectorized passes instead of per-row Python work.
 
 Canonical layout
 ----------------
-Every constructor and product path emits stripped classes in **one**
-canonical order, so the byte layout of a partition never depends on
-which code path produced it (checkpoint adoption, shared-memory
+Every constructor and the product kernel emit stripped classes in
+**one** canonical order, so the byte layout of a partition never
+depends on how it was produced (checkpoint adoption, shared-memory
 shipping, and golden comparisons all compare raw buffers):
 
 * :meth:`CsrPartition.from_column` orders classes by value code;
-* products (``product``, ``_product_small``, :func:`batched_products`)
-  order classes by the pair ``(class-in-self, class-in-other)``, with
-  rows inside a class in the right factor's index order.
+* products order classes by the pair ``(class-in-self,
+  class-in-other)``, with rows inside a class in the right factor's
+  index order.
 
-:func:`batched_products` computes a whole level's products over shared
-probe scatters and one stable argsort per sub-batch — a handful of
-numpy passes for the level instead of ~15 numpy calls per triple.
+There is one product kernel, :func:`batched_products`, the paper's
+probe-table pass (Lemma 3) over numpy arrays.  The left factor's labels
+are scattered into a shared probe; the right factor's surviving rows
+then come out in right-class order, so one stable sort on the left
+label (int16, a radix sort, for pooled small tasks) gives the canonical
+layout.  ``CsrPartition.product`` is a one-pair call to it.
 """
 
 from __future__ import annotations
@@ -57,20 +60,11 @@ class PartitionWorkspace:
         self.probe = np.full(num_rows, -1, dtype=np.int64)
 
 
-# Below this total stripped size, plain-Python dict probing beats the
-# vectorized path: each numpy call costs a few microseconds of fixed
-# overhead, and a product issues ~15 of them.  TANE on small relations
-# (the paper's 148-row medical datasets) computes hundreds of
-# thousands of tiny products, so this threshold matters.
-_SMALL_PRODUCT_THRESHOLD = 1024
-
-
 class CsrPartition(PartitionBase):
     """Stripped partition in CSR layout."""
 
     __slots__ = (
-        "_indices", "_offsets", "_num_rows", "_error_count",
-        "_sizes", "_label_cache", "_list_cache", "_table_cache",
+        "_indices", "_offsets", "_num_rows", "_error_count", "_sizes", "_label_cache",
     )
 
     def __init__(self, indices: np.ndarray, offsets: np.ndarray, num_rows: int) -> None:
@@ -84,8 +78,6 @@ class CsrPartition(PartitionBase):
         self._error_count = int(self._indices.size) - int(self._offsets.size - 1)
         self._sizes: np.ndarray | None = None
         self._label_cache: np.ndarray | None = None
-        self._list_cache: tuple[list[int], list[int]] | None = None
-        self._table_cache: dict[int, int] | None = None
 
     @property
     def error_count(self) -> int:
@@ -247,134 +239,14 @@ class CsrPartition(PartitionBase):
         other: "PartitionBase",
         workspace: PartitionWorkspace | None = None,
     ) -> "CsrPartition":
-        """Stripped partition product ``π · π'`` (Lemma 3), vectorized.
+        """Stripped partition product ``π · π'`` (Lemma 3).
 
-        Rows that survive into the product are exactly those belonging
-        to a stripped class in *both* inputs; they are grouped by the
-        pair (class-in-self, class-in-other) — the canonical class
-        order, shared with ``_product_small`` and
-        :func:`batched_products` — and pairs occurring once are
-        stripped.
+        A one-pair call to :func:`batched_products`, the only product
+        kernel: rows in a stripped class of *both* inputs are grouped
+        by the pair (class-in-self, class-in-other), and pairs
+        occurring once are stripped.
         """
-        if not isinstance(other, CsrPartition):
-            raise TypeError("CsrPartition can only be multiplied with CsrPartition")
-        if other.num_rows != self._num_rows:
-            raise DataError("partitions are over different relations")
-        if self.stripped_size + other.stripped_size <= _SMALL_PRODUCT_THRESHOLD:
-            return self._product_small(other)
-        if workspace is None:
-            workspace = PartitionWorkspace(self._num_rows)
-        probe = workspace.probe
-        # The reset must run even when the gather raises (e.g. a
-        # corrupt attached partition with out-of-range row ids): the
-        # workspace is shared by the whole run, and a dirty probe
-        # silently corrupts every later product.
-        try:
-            probe[self._indices] = self._labels()
-            in_self = probe[other._indices]
-            mask = in_self >= 0
-            rows = other._indices[mask]
-        finally:
-            probe[self._indices] = -1
-        if rows.size == 0:
-            return CsrPartition.empty(self._num_rows)
-        pair_key = in_self[mask] * (other.num_classes or 1) + other._labels()[mask]
-        order = np.argsort(pair_key, kind="stable")
-        sorted_key = pair_key[order]
-        sorted_rows = rows[order]
-        new_group = np.empty(sorted_key.size, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-        group_id = np.cumsum(new_group) - 1
-        group_sizes = np.bincount(group_id)
-        keep_elem = group_sizes[group_id] >= 2
-        indices = sorted_rows[keep_elem]
-        kept_sizes = group_sizes[group_sizes >= 2]
-        offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-        return CsrPartition(indices, offsets, self._num_rows)
-
-    def _as_lists(self) -> tuple[list[int], list[int]]:
-        """``(offsets, indices)`` as plain lists (cached; small path)."""
-        if self._list_cache is None:
-            self._list_cache = (self._offsets.tolist(), self._indices.tolist())
-        return self._list_cache
-
-    def _probe_table(self) -> dict[int, int]:
-        """``row -> class label`` dict (cached; small path).
-
-        Building it once per partition instead of once per product
-        matters: every partition participates in up to ``|R|`` products
-        per level.
-        """
-        if self._table_cache is None:
-            offsets, indices = self._as_lists()
-            table: dict[int, int] = {}
-            for k in range(len(offsets) - 1):
-                for i in range(offsets[k], offsets[k + 1]):
-                    table[indices[i]] = k
-            self._table_cache = table
-        return self._table_cache
-
-    def _product_small(self, other: "CsrPartition") -> "CsrPartition":
-        """Dict-probe product for small stripped sizes.
-
-        Same algorithm as the paper's probe table (see
-        :meth:`repro.partition.pure.PurePartition.product`), avoiding
-        per-call numpy overhead on tiny inputs.  Classes are emitted in
-        the canonical ``(class-in-self, class-in-other)`` order so the
-        byte layout matches the vectorized path exactly — which side
-        of ``_SMALL_PRODUCT_THRESHOLD`` a product lands on must never
-        change the result's bytes.
-        """
-        table = self._probe_table()
-        other_offsets, other_indices = other._as_lists()
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k in range(len(other_offsets) - 1):
-            for i in range(other_offsets[k], other_offsets[k + 1]):
-                row = other_indices[i]
-                label = table.get(row)
-                if label is not None:
-                    bucket = groups.get((label, k))
-                    if bucket is None:
-                        groups[(label, k)] = [row]
-                    else:
-                        bucket.append(row)
-        flat: list[int] = []
-        sizes: list[int] = []
-        for key in sorted(groups):
-            rows = groups[key]
-            if len(rows) >= 2:
-                flat.extend(rows)
-                sizes.append(len(rows))
-        if not sizes:
-            return CsrPartition.empty(self._num_rows)
-        new_offsets = [0]
-        for size in sizes:
-            new_offsets.append(new_offsets[-1] + size)
-        return CsrPartition(
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(new_offsets, dtype=np.int64),
-            self._num_rows,
-        )
-
-    def _g3_small(self, refined: "CsrPartition") -> int:
-        """Dict-based g3 for small stripped sizes (paper's algorithm)."""
-        refined_offsets, refined_indices = refined._as_lists()
-        representative_size: dict[int, int] = {}
-        for k in range(len(refined_offsets) - 1):
-            representative_size[refined_indices[refined_offsets[k]]] = (
-                refined_offsets[k + 1] - refined_offsets[k]
-            )
-        offsets, indices = self._as_lists()
-        removed = 0
-        for k in range(len(offsets) - 1):
-            largest = 1
-            for i in range(offsets[k], offsets[k + 1]):
-                size = representative_size.get(indices[i])
-                if size is not None and size > largest:
-                    largest = size
-            removed += offsets[k + 1] - offsets[k] - largest
-        return removed
+        return batched_products([(self, other)], workspace)[0]
 
     def g3_error_count(
         self,
@@ -395,14 +267,12 @@ class CsrPartition(PartitionBase):
             raise DataError("partitions are over different relations")
         if self.num_classes == 0:
             return 0
-        if self.stripped_size + refined.stripped_size <= _SMALL_PRODUCT_THRESHOLD:
-            return self._g3_small(refined)
         if workspace is None:
             workspace = PartitionWorkspace(self._num_rows)
         probe = workspace.probe
-        # try/finally for the same reason as in ``product``: a raise
-        # between scatter and reset must not leave the shared probe
-        # dirty for the rest of the run.
+        # try/finally for the same reason as in ``batched_products``: a
+        # raise between scatter and reset must not leave the shared
+        # probe dirty for the rest of the run.
         try:
             probe[self._indices] = self._labels()
             largest = np.ones(self.num_classes, dtype=np.int64)
@@ -417,24 +287,23 @@ class CsrPartition(PartitionBase):
 
 
 # ----------------------------------------------------------------------
-# Level-batched products
+# The product kernel
 # ----------------------------------------------------------------------
 
-# Pair keys of batched tasks are packed into disjoint int64 ranges; a
-# sub-batch is flushed before its cumulative keyspace could overflow.
-_MAX_BATCH_KEYSPACE = 2 ** 62
-
 # Tasks with at least this many surviving rows are sort-dominated:
-# numpy's fixed per-call costs are already negligible against an
-# O(n log n) argsort of this size, and merging them into a larger
-# concatenated sort only makes the sort slower.  They are solved
-# one-by-one (still reusing the shared probe scatter); only smaller
-# tasks are pooled into concatenated sub-batches.
+# numpy's fixed per-call costs are already negligible against a sort of
+# this size, and merging them into a larger concatenated sort only
+# makes the sort slower.  They are grouped one at a time; only smaller
+# tasks are pooled into one shared sort.
 _BATCH_SOLO_ROWS = 4096
 
-# Element budget of one concatenated sub-batch.  Kept small so the
-# pooled sort stays cache-resident and the key dtype can often narrow.
+# Element budget of one pool.  Kept small so the pooled sort stays
+# cache-resident.
 _BATCH_ELEMENT_BUDGET = 1 << 16
+
+# A pool's shifted left labels must fit in int16, the widest dtype
+# numpy's stable sort handles by radix; the pool is flushed first.
+_POOL_MAX_CLASSES = int(np.iinfo(np.int16).max)
 
 
 def _narrowest_key_dtype(keyspace: int) -> np.dtype:
@@ -442,8 +311,8 @@ def _narrowest_key_dtype(keyspace: int) -> np.dtype:
 
     numpy's stable sort is a radix sort for 16-bit integers (roughly
     an order of magnitude faster than the comparison sort used for
-    wider types), so narrowing the packed keys of a small-keyspace
-    sub-batch is a genuine win, not just a memory saving.
+    wider types), so narrowing the sort keys is a genuine win, not
+    just a memory saving.
     """
     if keyspace <= np.iinfo(np.int16).max:
         return np.dtype(np.int16)
@@ -452,77 +321,60 @@ def _narrowest_key_dtype(keyspace: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _solve_product_batch(
-    segments: list[tuple[int, np.ndarray, np.ndarray, int]],
+def _group_pool(
+    pool: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    num_left_labels: int,
     results: list["CsrPartition | None"],
     num_rows: int,
 ) -> None:
-    """Group every segment's surviving rows with one shared argsort.
+    """Group the surviving rows of one or more tasks with one sort.
 
-    ``segments`` are ``(position, rows, pair_keys, keyspace)`` per
-    task; keys are shifted into disjoint ranges (task order), so one
-    stable sort of the concatenation orders every task's rows by its
-    pair key while keeping tasks contiguous — the per-task slices then
-    need only cheap boundary arithmetic, no further sorting.
+    ``pool`` holds ``(position, left, right, rows)`` per task: the
+    surviving rows in the right factor's order with their class labels
+    in either factor.  Each task's left labels are shifted into its own
+    range of ``[0, num_left_labels)``, ascending in task order.
+
+    The rows arrive in right-class order, so a stable sort on the left
+    label alone yields the canonical ``(left-class, right-class)``
+    layout with rows in the right factor's order, and every task stays
+    contiguous.  Classes start wherever either label changes.
     """
-    bases: list[int] = []
-    base = 0
-    for _position, _rows, _keys, keyspace in segments:
-        bases.append(base)
-        base += keyspace
-    dtype = _narrowest_key_dtype(base)
-    all_keys = np.concatenate(
-        [
-            (keys + shift).astype(dtype, copy=False)
-            for (_, _, keys, _), shift in zip(segments, bases)
-        ]
-    )
-    all_rows = np.concatenate([rows for _, rows, _, _ in segments])
-    order = np.argsort(all_keys, kind="stable")
-    sorted_keys = all_keys[order]
-    sorted_rows = all_rows[order]
-    new_group = np.empty(sorted_keys.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    group_sizes = np.bincount(group_id)
-    keep_elem = group_sizes[group_id] >= 2
-    start = 0
-    for position, rows, _keys, _keyspace in segments:
-        end = start + rows.size
-        task_keep = keep_elem[start:end]
-        indices = sorted_rows[start:end][task_keep]
-        if indices.size == 0:
-            results[position] = CsrPartition.empty(num_rows)
-        else:
-            # Key ranges are disjoint, so this task's groups are
-            # exactly group ids group_id[start] .. group_id[end-1].
-            task_sizes = group_sizes[group_id[start]:group_id[end - 1] + 1]
-            kept_sizes = task_sizes[task_sizes >= 2]
-            offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-            results[position] = CsrPartition(indices, offsets, num_rows)
-        start = end
-
-
-def _solve_product_single(
-    rows: np.ndarray, pair_keys: np.ndarray, num_rows: int
-) -> "CsrPartition":
-    """Group one task's surviving rows (the grouping tail of ``product``)."""
-    order = np.argsort(pair_keys, kind="stable")
-    sorted_key = pair_keys[order]
-    sorted_rows = rows[order]
-    new_group = np.empty(sorted_key.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    group_sizes = np.bincount(group_id)
-    keep_elem = group_sizes[group_id] >= 2
-    indices = sorted_rows[keep_elem]
-    if indices.size == 0:
-        return CsrPartition.empty(num_rows)
-    kept_sizes = group_sizes[group_sizes >= 2]
-    offsets = np.concatenate(([0], np.cumsum(kept_sizes)))
-    return CsrPartition(indices, offsets, num_rows)
+    if len(pool) == 1:
+        [(_position, left, right, rows)] = pool
+    else:
+        left = np.concatenate([task[1] for task in pool])
+        right = np.concatenate([task[2] for task in pool])
+        rows = np.concatenate([task[3] for task in pool])
+    left = left.astype(_narrowest_key_dtype(num_left_labels))
+    order = np.argsort(left, kind="stable")
+    sorted_left = left[order]
+    sorted_right = right[order]
+    change = np.empty(rows.size, dtype=bool)
+    change[0] = True
+    np.not_equal(sorted_left[1:], sorted_left[:-1], out=change[1:])
+    change[1:] |= sorted_right[1:] != sorted_right[:-1]
+    starts = np.flatnonzero(change)
+    sizes = np.diff(starts, append=rows.size)
+    kept = sizes >= 2
+    indices = rows[order][np.repeat(kept, sizes)]
+    offsets = np.concatenate(([0], np.cumsum(sizes[kept])))
+    # Per task: its first group, then its first kept class, then the
+    # first element of that class.
+    task_starts = np.cumsum([0] + [task[3].size for task in pool])
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
+    class_bounds = kept_before[np.searchsorted(starts, task_starts)]
+    element_bounds = offsets[class_bounds].tolist()
+    class_bounds = class_bounds.tolist()
+    for t, task in enumerate(pool):
+        first, last = class_bounds[t], class_bounds[t + 1]
+        task_indices = indices[element_bounds[t]:element_bounds[t + 1]]
+        if len(pool) > 1:
+            # A view would pin the whole pool's buffer for as long as
+            # any one product lives; stores budget bytes per partition.
+            task_indices = task_indices.copy()
+        results[task[0]] = CsrPartition(
+            task_indices, offsets[first:last + 1] - offsets[first], num_rows
+        )
 
 
 def batched_products(
@@ -531,58 +383,43 @@ def batched_products(
 ) -> list["CsrPartition"]:
     """Compute many partition products in a few shared numpy passes.
 
-    Semantically equivalent to ``[x.product(y, workspace) for x, y in
-    pairs]`` — byte-identical results in the same order — but cheaper
-    on a level's worth of tasks:
+    The only product kernel (``CsrPartition.product`` is a one-pair
+    call).  Returns ``[x · y for x, y in pairs]`` in the canonical
+    layout, in order:
 
     * consecutive tasks sharing a left factor reuse one probe scatter
       (GENERATE-NEXT-LEVEL's prefix-block triples make this common);
     * tasks below ``_BATCH_SOLO_ROWS`` surviving rows — where numpy's
-      fixed per-call costs rival the real work — are pooled and grouped
-      by one stable argsort over pair keys shifted into disjoint
-      per-task ranges, narrowed to the smallest dtype the pooled
-      keyspace allows (16-bit keys sort by radix);
+      fixed per-call costs rival the real work — are pooled into one
+      int16 radix sort, their left labels shifted into disjoint
+      per-task ranges;
     * tasks at or above the threshold are sort-dominated, so pooling
-      them would only slow the sort: they are solved one at a time,
-      still under the shared scatter.
-
-    Unlike ``product``, small tasks do *not* detour through the
-    dict-probe path: pooling amortizes the per-call numpy overhead that
-    path exists to dodge.  A task whose pair-key space alone exceeds
-    the int64 packing budget falls back to the per-triple kernel, so
-    the batch never overflows.
+      them would only slow the sort: they are grouped one at a time.
     """
-    results: list[CsrPartition | None] = [None] * len(pairs)
     if not pairs:
         return []
+    results: list[CsrPartition | None] = [None] * len(pairs)
     num_rows = pairs[0][0].num_rows
     if workspace is None:
         workspace = PartitionWorkspace(num_rows)
-    probed: list[tuple[int, np.ndarray, np.ndarray, int]] = []
     probe = workspace.probe
     scattered: CsrPartition | None = None
+    pool: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    pool_classes = pool_rows = 0
+    # The reset must run even when the gather raises (e.g. a corrupt
+    # attached partition with out-of-range row ids): the workspace is
+    # shared by the whole run, and a dirty probe silently corrupts
+    # every later product.
     try:
         for position, (x, y) in enumerate(pairs):
             if not isinstance(x, CsrPartition) or not isinstance(y, CsrPartition):
-                raise TypeError("batched_products requires CsrPartition factors")
+                raise TypeError("CsrPartition can only be multiplied with CsrPartition")
             if x.num_rows != num_rows or y.num_rows != num_rows:
                 raise DataError("partitions are over different relations")
-            # No dict-path detour here: the small-product shortcut
-            # exists to dodge numpy's fixed per-call costs, and the
-            # pooled sub-batch amortizes exactly those — tiny tasks
-            # ride the shared scatter/argsort like everything else.
-            keyspace = x.num_classes * y.num_classes
-            if keyspace == 0:
+            x_classes = x.num_classes
+            if x_classes == 0 or y.num_classes == 0:
                 # A factor with no stripped classes kills every pair.
                 results[position] = CsrPartition.empty(num_rows)
-                continue
-            if keyspace > _MAX_BATCH_KEYSPACE:
-                # Per-triple fallback resets the probe itself; drop our
-                # scatter first so the next task re-scatters.
-                if scattered is not None:
-                    probe[scattered._indices] = -1
-                    scattered = None
-                results[position] = x.product(y, workspace)
                 continue
             if scattered is not x:
                 if scattered is not None:
@@ -595,30 +432,23 @@ def batched_products(
             if rows.size == 0:
                 results[position] = CsrPartition.empty(num_rows)
                 continue
-            pair_keys = in_x[mask] * y.num_classes + y._labels()[mask]
+            left, right = in_x[mask], y._labels()[mask]
             if rows.size >= _BATCH_SOLO_ROWS:
-                results[position] = _solve_product_single(
-                    rows, pair_keys, num_rows
-                )
+                _group_pool([(position, left, right, rows)], x_classes, results, num_rows)
                 continue
-            probed.append((position, rows, pair_keys, keyspace))
+            if pool and (
+                pool_rows + rows.size > _BATCH_ELEMENT_BUDGET
+                or pool_classes + x_classes > _POOL_MAX_CLASSES
+            ):
+                _group_pool(pool, pool_classes, results, num_rows)
+                pool, pool_classes, pool_rows = [], 0, 0
+            left += pool_classes  # a fresh array: in_x[mask] copies
+            pool.append((position, left, right, rows))
+            pool_classes += x_classes
+            pool_rows += rows.size
     finally:
         if scattered is not None:
             probe[scattered._indices] = -1
-    # Flush in sub-batches bounded by the int64 key-packing budget and
-    # by an element budget (a cache-resident sort, and a small pooled
-    # keyspace often narrows the key dtype all the way to radix range).
-    cursor = 0
-    while cursor < len(probed):
-        stop, keys_total, elements = cursor, 0, 0
-        while (
-            stop < len(probed)
-            and keys_total + probed[stop][3] <= _MAX_BATCH_KEYSPACE
-            and (stop == cursor or elements + probed[stop][1].size <= _BATCH_ELEMENT_BUDGET)
-        ):
-            keys_total += probed[stop][3]
-            elements += probed[stop][1].size
-            stop += 1
-        _solve_product_batch(probed[cursor:stop], results, num_rows)
-        cursor = stop
+    if pool:
+        _group_pool(pool, pool_classes, results, num_rows)
     return results  # type: ignore[return-value]

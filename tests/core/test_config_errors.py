@@ -58,12 +58,6 @@ class TestKnobMessages:
         for choice in ("'pairwise'", "'from_singletons'"):
             assert choice in message
 
-    def test_product_kernel_enumerates_choices(self):
-        message = _config_error(product_kernel="simd")
-        assert "unknown product_kernel 'simd'" in message
-        for choice in ("'batched'", "'triple'"):
-            assert choice in message
-
     def test_partition_cache_enumerates_choices(self):
         message = _config_error(partition_cache="global")
         assert "unknown partition_cache 'global'" in message

@@ -272,10 +272,6 @@ class TestResultBlockAdoption:
 
 
 class TestConfigValidation:
-    def test_bad_product_kernel(self):
-        with pytest.raises(ConfigurationError, match="product_kernel"):
-            ProcessLevelExecutor(workers=1, product_kernel="simd")
-
     def test_bad_target_chunk_seconds(self):
         with pytest.raises(ConfigurationError, match="target_chunk_seconds"):
             ProcessLevelExecutor(workers=1, target_chunk_seconds=0)

@@ -111,16 +111,3 @@ class TestCacheIsolation:
         finally:
             reset_shared_cache()
 
-
-class TestKernelParity:
-    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
-    def test_batched_and_triple_kernels_agree(self, relation, epsilon):
-        batched = discover(relation, TaneConfig(epsilon=epsilon))
-        triple = discover(
-            relation, TaneConfig(epsilon=epsilon, product_kernel="triple")
-        )
-        assert_same_result(triple, batched)
-        bs, ts = batched.statistics, triple.statistics
-        assert bs.level_sizes == ts.level_sizes
-        assert bs.partition_products == ts.partition_products
-        assert bs.validity_tests == ts.validity_tests

@@ -14,9 +14,9 @@ import bench_history  # noqa: E402
 
 
 class TestHeadlineValue:
-    def test_hotpath_reads_combined_improvement(self):
+    def test_hotpath_reads_cache_improvement(self):
         assert bench_history.headline_value(
-            "hotpath", {"combined_improvement": 1.73}
+            "hotpath", {"cache_improvement": 1.73}
         ) == 1.73
 
     def test_obs_events_overhead_flattens_nested_run(self):
@@ -33,7 +33,7 @@ class TestHeadlineValue:
     def test_missing_or_non_numeric_value_is_none(self):
         assert bench_history.headline_value("hotpath", {}) is None
         assert bench_history.headline_value(
-            "hotpath", {"combined_improvement": "fast"}
+            "hotpath", {"cache_improvement": "fast"}
         ) is None
 
 

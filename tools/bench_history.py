@@ -50,7 +50,7 @@ class Headline:
 
 
 HEADLINES: dict[str, Headline] = {
-    "hotpath": Headline("combined_improvement", higher_is_better=True),
+    "hotpath": Headline("cache_improvement", higher_is_better=True),
     "obs_overhead": Headline("disabled_overhead_pct", higher_is_better=False),
     "obs_events_overhead": Headline("enabled_pct", higher_is_better=False),
     "refactor_overhead": Headline("overhead_pct", higher_is_better=False),
